@@ -1,14 +1,8 @@
 package main
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
-
-	"repro/internal/experiments"
 )
 
 func TestList(t *testing.T) {
@@ -49,48 +43,5 @@ func TestRunCSV(t *testing.T) {
 	}
 	if err := run([]string{"-csv"}, &strings.Builder{}); err == nil {
 		t.Error("-csv without -run accepted")
-	}
-}
-
-func TestRunAllWritesBenchFile(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full suite is slow")
-	}
-	path := filepath.Join(t.TempDir(), "BENCH_solvers.json")
-	var out strings.Builder
-	if err := run([]string{"-bench", path}, &out); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var entries []experiments.BenchEntry
-	if err := json.Unmarshal(data, &entries); err != nil {
-		t.Fatalf("bench file is not valid JSON: %v", err)
-	}
-	seen := make(map[string]experiments.BenchEntry, len(entries))
-	for _, e := range entries {
-		seen[e.ID] = e
-	}
-	for i := 1; i <= 12; i++ {
-		id := "E" + strconv.Itoa(i)
-		e, ok := seen[id]
-		if !ok {
-			t.Errorf("bench file missing %s", id)
-			continue
-		}
-		if e.Solver == "" {
-			t.Errorf("%s has no solver label", id)
-		}
-		if e.WallMS <= 0 {
-			t.Errorf("%s wall_ms = %g", id, e.WallMS)
-		}
-	}
-	// The iterative experiments must surface nonzero iteration counts.
-	for _, id := range []string{"E3", "E6", "E7"} {
-		if seen[id].Iterations == 0 {
-			t.Errorf("%s recorded no solver iterations", id)
-		}
 	}
 }

@@ -6,9 +6,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"time"
 
 	"repro/internal/jobs"
+	"repro/internal/obs"
 	"repro/internal/reldash"
 )
 
@@ -37,47 +37,38 @@ func (s *solveServer) writeJob(w http.ResponseWriter, code int, resp jobResponse
 // carrying an Idempotency-Key header it has seen before gets the
 // existing job back with 200 instead of a duplicate with 201, so clients
 // can blindly re-post after a lost response.
-func (s *solveServer) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	corr := s.corrStamp(w, r)
-	code := http.StatusCreated
-	defer func() {
-		s.latency.Observe(time.Since(start).Seconds(), "/jobs")
-		s.win.Record(code >= 400)
-	}()
+func (s *solveServer) handleJobSubmit(w http.ResponseWriter, r *http.Request, ev *obs.WideEvent) *obs.TraceRecord {
+	code, resp := s.submitJob(w, r, ev.Corr)
+	ev.Status, ev.Code = code, resp.Code
+	s.writeJob(w, code, resp)
+	return nil
+}
+
+// submitJob decides the POST /jobs reply, setting any reply headers.
+func (s *solveServer) submitJob(w http.ResponseWriter, r *http.Request, corr string) (int, jobResponse) {
 	if s.draining.Load() {
-		code = http.StatusServiceUnavailable
 		s.shed.Inc("draining")
 		w.Header().Set("Retry-After", "1")
-		s.writeJob(w, code, jobResponse{Error: "server is draining for shutdown", Code: "draining"})
-		return
+		return http.StatusServiceUnavailable, jobResponse{Error: "server is draining for shutdown", Code: "draining"}
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
 	if err != nil {
-		code = http.StatusBadRequest
 		resp := jobResponse{Error: err.Error(), Code: "body-read"}
 		if maxBytesError(err) {
 			resp.Error = fmt.Sprintf("job document exceeds the %d-byte limit", s.cfg.MaxBody)
 			resp.Code = "too-large"
 		}
-		s.writeJob(w, code, resp)
-		return
+		return http.StatusBadRequest, resp
 	}
 	spec, err := jobs.ParseSpec(body)
 	if err != nil {
-		code = http.StatusBadRequest
-		s.writeJob(w, code, jobResponse{Error: err.Error(), Code: "bad-spec"})
-		return
+		return http.StatusBadRequest, jobResponse{Error: err.Error(), Code: "bad-spec"}
 	}
 	spec.Corr = corr
 	snap, created, err := s.jobs.Submit(spec, r.Header.Get("Idempotency-Key"))
 	if err != nil {
 		code, respCode := jobErrorStatus(err)
-		s.writeJob(w, code, jobResponse{Error: err.Error(), Code: respCode})
-		return
-	}
-	if !created {
-		code = http.StatusOK
+		return code, jobResponse{Error: err.Error(), Code: respCode}
 	}
 	if s.cfg.Logger != nil {
 		s.cfg.Logger.Info("job submitted",
@@ -85,7 +76,10 @@ func (s *solveServer) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 			"shards", snap.Shards, "remote", r.RemoteAddr)
 	}
 	w.Header().Set("Location", "/jobs/"+snap.ID)
-	s.writeJob(w, code, jobResponse{Job: snap})
+	if !created {
+		return http.StatusOK, jobResponse{Job: snap}
+	}
+	return http.StatusCreated, jobResponse{Job: snap}
 }
 
 // handleJobGet answers GET /jobs/{id} with the job's live snapshot —

@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -308,8 +309,56 @@ func TestServePanicIsolation(t *testing.T) {
 	}
 }
 
+// TestServePanicCountedOnce: a request whose handler panics is one
+// request with status 500 everywhere it is counted — the solve counter,
+// the SLO engine, the dashboard window and the wide-event log — and
+// never also a 200 (regression: the handler's own accounting used to
+// run during the unwind and count it as a success first).
+func TestServePanicCountedOnce(t *testing.T) {
+	t.Cleanup(failpoint.Reset)
+	var wide bytes.Buffer
+	reg := metrics.NewRegistry()
+	s, mux, err := newSolveServer(serveConfig{Registry: reg, WideWriter: &wide, WideSample: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := failpoint.Arm("modelio.parse", "times(1)->panic(parser detonated)"); err != nil {
+		t.Fatal(err)
+	}
+	if w := postJSON(t, mux, rbdDegradable); w.Code != http.StatusInternalServerError {
+		t.Fatalf("panicking request: status %d, want 500", w.Code)
+	}
+
+	mw := httptest.NewRecorder()
+	mux.ServeHTTP(mw, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	exp := mw.Body.String()
+	for _, want := range []string{
+		`relscope_solve_requests_total{code="500"} 1` + "\n",
+		`relslo_events_total{objective="solve-availability",verdict="bad"} 1` + "\n",
+	} {
+		if !strings.Contains(exp, want) {
+			t.Errorf("/metrics missing %q", want)
+		}
+	}
+	for _, unwanted := range []string{
+		`relscope_solve_requests_total{code="200"}`,
+		`relslo_events_total{objective="solve-availability",verdict="good"}`,
+	} {
+		if strings.Contains(exp, unwanted) {
+			t.Errorf("/metrics counts the panicking request as a success: %q present", unwanted)
+		}
+	}
+	if good, bad := s.win.Totals(); good != 0 || bad != 1 {
+		t.Errorf("window totals = %d good, %d bad, want 0, 1", good, bad)
+	}
+	lines := strings.Split(strings.TrimSpace(wide.String()), "\n")
+	if len(lines) != 1 || !strings.Contains(lines[0], `"status":500`) || !strings.Contains(lines[0], `"code":"internal"`) {
+		t.Errorf("want one wide line with status 500, got:\n%s", wide.String())
+	}
+}
+
 // TestServeStorePanicDoesNotFailSolve: a panicking trace store loses
-// the record, never the solve response.
+// the record, never the response — on /solve and /analyze alike.
 func TestServeStorePanicDoesNotFailSolve(t *testing.T) {
 	t.Cleanup(failpoint.Reset)
 	mux := mustServeMux(t, serveConfig{Registry: metrics.NewRegistry()})
@@ -319,6 +368,20 @@ func TestServeStorePanicDoesNotFailSolve(t *testing.T) {
 	w := postJSON(t, mux, rbdDegradable)
 	if w.Code != http.StatusOK {
 		t.Errorf("solve with panicking store: status %d: %s", w.Code, w.Body.String())
+	}
+	for model, want := range map[string]int{
+		"absorbing.json":     http.StatusOK,
+		"broken_rowsum.json": http.StatusUnprocessableEntity,
+	} {
+		body, err := os.ReadFile(filepath.Join("..", "..", "models", model))
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := httptest.NewRecorder()
+		mux.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/analyze", bytes.NewReader(body)))
+		if w.Code != want {
+			t.Errorf("analyze %s with panicking store: status %d, want %d: %s", model, w.Code, want, w.Body.String())
+		}
 	}
 }
 

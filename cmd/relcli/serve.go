@@ -123,7 +123,7 @@ type solveServer struct {
 	adm   *admission
 	brk   *breakerSet
 	store *obs.TraceStore
-	win   *reldash.Window
+	win   *metrics.SlidingCounter
 	jobs  *jobs.Engine
 	// jobsResumed counts the incomplete jobs Recover picked up from the
 	// checkpoint directory at boot.
@@ -198,7 +198,7 @@ func newSolveServer(cfg serveConfig) (*solveServer, *http.ServeMux, error) {
 		cfg:   cfg,
 		adm:   newAdmission(cfg.MaxInflight, cfg.QueueDepth, cfg.QueueWait),
 		store: obs.NewTraceStore(cfg.TraceStoreSize),
-		win:   reldash.NewWindow(time.Minute),
+		win:   metrics.NewSlidingCounter(time.Minute, 30),
 		start: time.Now(),
 		requests: cfg.Registry.NewCounter("relscope_solve_requests_total",
 			"Solve requests handled, by HTTP status code.", "code"),
@@ -291,14 +291,14 @@ func newSolveServer(cfg serveConfig) (*solveServer, *http.ServeMux, error) {
 		return nil, nil, err
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /solve", s.isolated("/solve", s.handleSolve))
-	mux.HandleFunc("POST /analyze", s.isolated("/analyze", s.handleAnalyze))
+	mux.HandleFunc("POST /solve", s.bounded("/solve", s.handleSolve))
+	mux.HandleFunc("POST /analyze", s.bounded("/analyze", s.handleAnalyze))
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	// SLO status and the profile listing mount unconditionally (like
 	// /healthz): chaos drills and probes need them with the UI off.
 	mux.HandleFunc("GET /api/slo", s.isolated("/api/slo", s.handleSLO))
 	mux.HandleFunc("GET /api/profiles", s.isolated("/api/profiles", s.handleProfiles))
-	mux.HandleFunc("POST /jobs", s.isolated("/jobs", s.handleJobSubmit))
+	mux.HandleFunc("POST /jobs", s.bounded("/jobs", s.handleJobSubmit))
 	mux.HandleFunc("GET /jobs", s.isolated("/jobs", s.handleJobList))
 	mux.HandleFunc("GET /jobs/{id}", s.isolated("/jobs", s.handleJobGet))
 	mux.HandleFunc("DELETE /jobs/{id}", s.isolated("/jobs", s.handleJobCancel))
@@ -331,34 +331,76 @@ func newServeMux(cfg serveConfig) (*http.ServeMux, error) {
 	return mux, err
 }
 
-// isolated wraps a handler with the per-request panic boundary: a panic
-// escaping the handler (or injected through a failpoint) is converted
-// to a *guard.InternalError and answered as a typed 500, and the server
-// keeps serving. Without this, net/http would recover the panic but
-// kill the connection with an empty reply.
-func (s *solveServer) isolated(route string, h http.HandlerFunc) http.HandlerFunc {
+// requestHandler serves one accounted request: it answers w, fills in
+// ev (status, code, model, verdicts) and returns the trace-store record
+// for the request, or nil when there is none. All accounting happens in
+// the boundary around it (bounded, finish).
+type requestHandler func(w http.ResponseWriter, r *http.Request, ev *obs.WideEvent) *obs.TraceRecord
+
+// bounded is the request boundary of the accounted routes (POST /solve,
+// /analyze, /jobs): it mints the correlation ID and the wide event, runs
+// h under the panic boundary, turns a panic into the typed 500 on that
+// same event, and then closes the request out through finish exactly
+// once, whichever way h ended.
+func (s *solveServer) bounded(route string, h requestHandler) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		err := guard.Isolate("serve"+route, func() error {
-			h(w, r)
-			return nil
-		})
-		if err != nil {
-			s.panics.Inc(route)
-			s.requests.Inc("500")
-			s.win.Record(true)
-			if s.cfg.Logger != nil {
-				// The handler stamped its correlation ID on the response
-				// header before panicking; recover it for the log join.
-				s.cfg.Logger.Error("handler panic isolated", "route", route,
-					"corr", w.Header().Get(obs.CorrHeader), "err", err)
-			}
-			// Best effort: if the handler already wrote a header this is a
-			// no-op on the status line but still closes out the request.
-			s.reply(w, http.StatusInternalServerError, solveResponse{
-				Error: err.Error(), Code: "internal",
-			})
+		ev := &obs.WideEvent{Time: time.Now(), Corr: s.corrStamp(w, r), Route: route}
+		var rec *obs.TraceRecord
+		if err := guard.Isolate("serve"+route, func() error { rec = h(w, r, ev); return nil }); err != nil {
+			s.panicked(w, route, err)
+			ev.Status, ev.Code = http.StatusInternalServerError, "internal"
+		}
+		s.finish(ev, rec)
+	}
+}
+
+// finish accounts for one request: the trace record (isolated, so a
+// panicking store loses the record, never the request), then latency,
+// the dashboard window, the SLO engine and the wide-event log, all from
+// the one event. Only /solve feeds relscope_solve_requests_total.
+func (s *solveServer) finish(ev *obs.WideEvent, rec *obs.TraceRecord) {
+	if rec != nil {
+		if err := guard.Isolate("serve.store", func() error { ev.Trace = s.store.Put(*rec); return nil }); err != nil {
+			s.panics.Inc(ev.Route + "/store")
 		}
 	}
+	wall := time.Since(ev.Time)
+	ev.WallMS = float64(wall.Nanoseconds()) / 1e6
+	s.latency.Observe(wall.Seconds(), ev.Route)
+	s.win.Record(ev.Status >= 400)
+	if s.slo != nil {
+		s.slo.Observe(ev.Route, ev.Status, wall)
+	}
+	s.wide.Log(*ev)
+	if ev.Route == "/solve" {
+		s.requests.Inc(strconv.Itoa(ev.Status))
+	}
+}
+
+// isolated is the panic boundary of the read-only routes: a panic
+// becomes a typed 500 and the server keeps serving, with no request
+// accounting. Without it, net/http would recover the panic but kill the
+// connection with an empty reply.
+func (s *solveServer) isolated(route string, h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if err := guard.Isolate("serve"+route, func() error { h(w, r); return nil }); err != nil {
+			s.panicked(w, route, err)
+		}
+	}
+}
+
+// panicked answers an isolated handler panic with the typed 500. If the
+// handler already wrote a header the status line is lost, but the body
+// still closes out the request.
+func (s *solveServer) panicked(w http.ResponseWriter, route string, err error) {
+	s.panics.Inc(route)
+	if s.cfg.Logger != nil {
+		// Accounted routes stamp their correlation ID on the response
+		// header before the handler runs; recover it for the log join.
+		s.cfg.Logger.Error("handler panic isolated", "route", route,
+			"corr", w.Header().Get(obs.CorrHeader), "err", err)
+	}
+	s.reply(w, http.StatusInternalServerError, solveResponse{Error: err.Error(), Code: "internal"})
 }
 
 // resilience snapshots the serve-layer protection state for the
@@ -489,42 +531,25 @@ func (s *solveServer) retryAfter() int {
 // breaker. The request context is threaded into the solver via the
 // guard plumbing, so a disconnecting client (or server shutdown closing
 // the connection) cancels the solve at iteration granularity.
-func (s *solveServer) handleSolve(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	code := http.StatusOK
-	corr := s.corrStamp(w, r)
-	ev := &obs.WideEvent{Time: start, Corr: corr, Route: "/solve"}
-	defer func() {
-		s.requests.Inc(strconv.Itoa(code))
-		wall := time.Since(start)
-		s.latency.Observe(wall.Seconds(), "/solve")
-		s.win.Record(code >= 400)
-		s.observeSLO("/solve", code, wall)
-		ev.Status = code
-		ev.WallMS = float64(wall.Nanoseconds()) / 1e6
-		s.wide.Log(*ev)
-	}()
-
+func (s *solveServer) handleSolve(w http.ResponseWriter, r *http.Request, ev *obs.WideEvent) *obs.TraceRecord {
 	if s.draining.Load() {
-		code = http.StatusServiceUnavailable
 		s.shed.Inc("draining")
 		w.Header().Set("Retry-After", "1")
-		s.replyEv(w, ev, code, solveResponse{Error: "server is draining for shutdown", Code: "draining"})
-		return
+		s.replyEv(w, ev, http.StatusServiceUnavailable, solveResponse{Error: "server is draining for shutdown", Code: "draining"})
+		return nil
 	}
 
 	// The body is read (bounded) before admission so every rejection can
 	// carry the model hash; reading is microseconds against a solve.
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
 	if err != nil {
-		code = http.StatusBadRequest
 		resp := solveResponse{Error: err.Error(), Code: "body-read"}
 		if maxBytesError(err) {
 			resp.Error = fmt.Sprintf("model document exceeds the %d-byte limit", s.cfg.MaxBody)
 			resp.Code = "too-large"
 		}
-		s.replyEv(w, ev, code, resp)
-		return
+		s.replyEv(w, ev, http.StatusBadRequest, resp)
+		return nil
 	}
 	hash := modelHash(body)
 
@@ -538,44 +563,39 @@ func (s *solveServer) handleSolve(w http.ResponseWriter, r *http.Request) {
 			release()
 		}()
 	case admitShed:
-		code = http.StatusTooManyRequests
 		ev.Queue = "shed"
 		s.shed.Inc("shed")
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter()))
-		s.replyEv(w, ev, code, solveResponse{
+		s.replyEv(w, ev, http.StatusTooManyRequests, solveResponse{
 			ModelHash: hash, Code: "shed",
 			Error: "admission queue full; load shed",
 		})
-		return
+		return nil
 	case admitTimeout:
-		code = http.StatusServiceUnavailable
 		ev.Queue = "timeout"
 		s.shed.Inc("capacity-timeout")
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter()))
-		s.replyEv(w, ev, code, solveResponse{
+		s.replyEv(w, ev, http.StatusServiceUnavailable, solveResponse{
 			ModelHash: hash, Code: "capacity-timeout",
 			Error: fmt.Sprintf("no solve slot freed within %s", s.cfg.QueueWait),
 		})
-		return
+		return nil
 	default: // admitCanceled: the client is gone; close out cheaply.
-		code = http.StatusServiceUnavailable
 		ev.Queue = "canceled"
-		s.replyEv(w, ev, code, solveResponse{ModelHash: hash, Code: "canceled",
+		s.replyEv(w, ev, http.StatusServiceUnavailable, solveResponse{ModelHash: hash, Code: "canceled",
 			Error: "client canceled while queued"})
-		return
+		return nil
 	}
 
 	spec, err := modelio.Parse(bytes.NewReader(body))
 	if err != nil {
-		code = http.StatusBadRequest
-		respCode := "bad-spec"
+		code, respCode := http.StatusBadRequest, "bad-spec"
 		if errorCode(err) == "injected" {
 			// The parser itself broke (failpoint), not the document.
-			code = http.StatusInternalServerError
-			respCode = "injected"
+			code, respCode = http.StatusInternalServerError, "injected"
 		}
 		s.replyEv(w, ev, code, solveResponse{ModelHash: hash, Error: err.Error(), Code: respCode})
-		return
+		return nil
 	}
 
 	// Circuit breaker: when the exact path for this model class has been
@@ -591,14 +611,14 @@ func (s *solveServer) handleSolve(w http.ResponseWriter, r *http.Request) {
 		ev.Breaker = "closed"
 	}
 	if !proceed {
-		s.replyDegraded(w, ev, &code, spec, hash, corr)
-		return
+		s.replyDegraded(w, ev, spec, hash)
+		return nil
 	}
 
 	// Every solve is traced so the store retains its span tree for the
 	// dashboard; the response only carries the tree when asked (?trace=1).
 	tr := obs.NewTrace(rootName(spec))
-	tr.Set(obs.S("corr", corr))
+	tr.Set(obs.S("corr", ev.Corr))
 	recs := []obs.Recorder{obs.NewMetricsRecorder(s.cfg.Registry, spec.Name), tr}
 	if s.cfg.Logger != nil {
 		recs = append(recs, obs.NewSlogRecorder(s.cfg.Logger))
@@ -619,6 +639,7 @@ func (s *solveServer) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("trace") != "" {
 		resp.Trace = tr.Finish()
 	}
+	code := http.StatusOK
 	if solveErr != nil {
 		code = solveErrorStatus(solveErr)
 		resp.Error = solveErr.Error()
@@ -628,40 +649,35 @@ func (s *solveServer) handleSolve(w http.ResponseWriter, r *http.Request) {
 	// (bad documents, client cancellations) do not.
 	s.brk.record(spec.Type, probe, code >= http.StatusInternalServerError)
 	rec := obs.RecordFromTrace(tr, rootName(spec), "solve")
-	rec.Start = start
-	rec.Corr = corr
+	rec.Start = ev.Time
+	rec.Corr = ev.Corr
 	rec.Outcome = solveOutcome(solveErr)
 	if solveErr != nil {
 		rec.Error = solveErr.Error()
 	}
 	ev.Solver = rec.Solver
 	ev.Outcome = rec.Outcome
-	// A panicking trace store (failpoint) must not take the response
-	// down with it: the record is an observability nicety.
-	if err := guard.Isolate("serve.store", func() error { ev.Trace = s.store.Put(rec); return nil }); err != nil {
-		s.panics.Inc("/solve/store")
-	}
 	if s.cfg.Logger != nil {
 		s.cfg.Logger.Info("solve request",
-			"corr", corr, "model", spec.Name, "type", spec.Type, "status", code,
+			"corr", ev.Corr, "model", spec.Name, "type", spec.Type, "status", code,
 			"model_hash", hash, "degraded", false,
-			"wall_ms", float64(time.Since(start).Nanoseconds())/1e6,
+			"wall_ms", float64(time.Since(ev.Time).Nanoseconds())/1e6,
 			"remote", r.RemoteAddr)
 	}
 	s.replyEv(w, ev, code, resp)
+	return &rec
 }
 
 // replyDegraded answers a breaker-open request: a bounds-only degraded
 // solve when the model family has one (rbd, faulttree), 503 with the
 // cooldown-derived Retry-After when it does not (ctmc and friends have
 // no cheap certified bounds).
-func (s *solveServer) replyDegraded(w http.ResponseWriter, ev *obs.WideEvent, code *int, spec *modelio.Spec, hash, corr string) {
+func (s *solveServer) replyDegraded(w http.ResponseWriter, ev *obs.WideEvent, spec *modelio.Spec, hash string) {
 	results, err := modelio.SolveBounds(spec)
 	if err != nil {
-		*code = http.StatusServiceUnavailable
 		s.shed.Inc("breaker-open")
 		w.Header().Set("Retry-After", strconv.Itoa(s.brk.retrySecs(spec.Type)))
-		s.replyEv(w, ev, *code, solveResponse{
+		s.replyEv(w, ev, http.StatusServiceUnavailable, solveResponse{
 			Model: spec.Name, ModelHash: hash, Code: "breaker-open",
 			Error: fmt.Sprintf("circuit breaker open for model class %q and no bounds-only path: %v", spec.Type, err),
 		})
@@ -671,9 +687,9 @@ func (s *solveServer) replyDegraded(w http.ResponseWriter, ev *obs.WideEvent, co
 	ev.Outcome = "degraded"
 	if s.cfg.Logger != nil {
 		s.cfg.Logger.Warn("degraded bounds-only answer",
-			"corr", corr, "model", spec.Name, "type", spec.Type, "model_hash", hash)
+			"corr", ev.Corr, "model", spec.Name, "type", spec.Type, "model_hash", hash)
 	}
-	s.replyEv(w, ev, *code, solveResponse{
+	s.replyEv(w, ev, http.StatusOK, solveResponse{
 		Model: spec.Name, ModelHash: hash, Degraded: true, Results: results,
 	})
 }
@@ -682,52 +698,40 @@ func (s *solveServer) replyDegraded(w http.ResponseWriter, ev *obs.WideEvent, co
 // model document: the serve-side preflight. The response mirrors the
 // `relcli analyze -json` per-file report. Documents with error-severity
 // findings come back 422 so callers can gate a later /solve on it.
-func (s *solveServer) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	code := http.StatusOK
-	corr := s.corrStamp(w, r)
-	ev := &obs.WideEvent{Time: start, Corr: corr, Route: "/analyze"}
-	defer func() {
-		wall := time.Since(start)
-		s.latency.Observe(wall.Seconds(), "/analyze")
-		s.win.Record(code >= 400)
-		s.observeSLO("/analyze", code, wall)
-		ev.Status = code
-		ev.WallMS = float64(wall.Nanoseconds()) / 1e6
-		s.wide.Log(*ev)
-	}()
+func (s *solveServer) handleAnalyze(w http.ResponseWriter, r *http.Request, ev *obs.WideEvent) *obs.TraceRecord {
 	// The body is read once and re-parsed from memory: analyzeDocument
 	// consumes the reader, and the trace store wants the model's name.
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
 	if err != nil {
-		code = http.StatusBadRequest
+		ev.Status = http.StatusBadRequest
 		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(code)
+		w.WriteHeader(ev.Status)
 		fmt.Fprintf(w, "{\n  \"error\": %q\n}\n", err.Error())
-		return
+		return nil
 	}
 	rep := analyzeDocument("<request>", bytes.NewReader(body))
+	ev.Status = http.StatusOK
 	if lint.HasErrors(rep.Diagnostics) {
-		code = http.StatusUnprocessableEntity
+		ev.Status = http.StatusUnprocessableEntity
 	}
-	model := analyzeModelName(body)
-	ev.Model = model
-	ev.Outcome = analyzeOutcome(code)
-	ev.Trace = s.store.Put(obs.TraceRecord{
-		Corr:     corr,
-		Model:    model,
+	ev.Model = analyzeModelName(body)
+	ev.Outcome = analyzeOutcome(ev.Status)
+	rec := &obs.TraceRecord{
+		Corr:     ev.Corr,
+		Model:    ev.Model,
 		Endpoint: "analyze",
-		Outcome:  analyzeOutcome(code),
-		Start:    start,
-		WallMS:   float64(time.Since(start).Nanoseconds()) / 1e6,
-	})
+		Outcome:  ev.Outcome,
+		Start:    ev.Time,
+		WallMS:   float64(time.Since(ev.Time).Nanoseconds()) / 1e6,
+	}
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
+	w.WriteHeader(ev.Status)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(rep); err != nil && s.cfg.Logger != nil {
-		s.cfg.Logger.Warn("analyze response write failed", "corr", corr, "err", err)
+		s.cfg.Logger.Warn("analyze response write failed", "corr", ev.Corr, "err", err)
 	}
+	return rec
 }
 
 // analyzeModelName extracts the spec name for the trace-store record; an

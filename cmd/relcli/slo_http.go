@@ -35,10 +35,11 @@ func (s *solveServer) corrStamp(w http.ResponseWriter, r *http.Request) string {
 	return corr
 }
 
-// replyEv mirrors the response's identity fields into the wide event
-// before handing off to reply, so every exit path of a handler feeds the
-// same log line.
+// replyEv mirrors the status and the response's identity fields into
+// the wide event before handing off to reply, so every exit path of a
+// handler feeds the same accounting.
 func (s *solveServer) replyEv(w http.ResponseWriter, ev *obs.WideEvent, code int, resp solveResponse) {
+	ev.Status = code
 	if resp.Model != "" {
 		ev.Model = resp.Model
 	}
@@ -52,13 +53,6 @@ func (s *solveServer) replyEv(w http.ResponseWriter, ev *obs.WideEvent, code int
 		ev.Degraded = true
 	}
 	s.reply(w, code, resp)
-}
-
-// observeSLO feeds one finished request into the SLO engine.
-func (s *solveServer) observeSLO(route string, status int, latency time.Duration) {
-	if s.slo != nil {
-		s.slo.Observe(route, status, latency)
-	}
 }
 
 // selfState classifies the server's current condition for the

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"io"
 	"path/filepath"
 	"strings"
@@ -96,7 +97,9 @@ func TestCollectAggregatesSuite(t *testing.T) {
 	if len(entries) < 13 {
 		t.Fatalf("got %d entries, want >= 13", len(entries))
 	}
+	byID := make(map[string]experiments.BenchEntry, len(entries))
 	for _, e := range entries {
+		byID[e.ID] = e
 		if e.WallMS <= 0 {
 			t.Errorf("%s: wall %.3fms, want > 0", e.ID, e.WallMS)
 		}
@@ -105,6 +108,22 @@ func TestCollectAggregatesSuite(t *testing.T) {
 		}
 		if e.WallMSP95 < e.WallMS {
 			t.Errorf("%s: p95 %.3f < median %.3f", e.ID, e.WallMSP95, e.WallMS)
+		}
+	}
+	// Every experiment of the tutorial tables (E1–E12) names the solver
+	// that dominated it; E14–E16 drive pipelines rather than one solver.
+	for i := 1; i <= 12; i++ {
+		id := fmt.Sprintf("E%d", i)
+		if e, ok := byID[id]; !ok {
+			t.Errorf("suite missing %s", id)
+		} else if e.Solver == "" {
+			t.Errorf("%s has no solver label", id)
+		}
+	}
+	// The iterative experiments must surface nonzero iteration counts.
+	for _, id := range []string{"E3", "E6", "E7"} {
+		if byID[id].Iterations == 0 {
+			t.Errorf("%s recorded no solver iterations", id)
 		}
 	}
 

@@ -1,8 +1,9 @@
-// Package failpoint is a zero-dependency, deterministic fault-injection
-// registry. Code under test declares named failpoints by calling Inject
-// (or InjectCtx) at interesting places — solver sweep boundaries, node
-// allocation, request handling — and the call compiles down to one atomic
-// load unless something armed the registry, so production binaries pay
+// Package failpoint is a deterministic fault-injection registry with no
+// dependencies beyond the leaf internal/splitmix generator. Code under
+// test declares named failpoints by calling Inject (or InjectCtx) at
+// interesting places — solver sweep boundaries, node allocation,
+// request handling — and the call compiles down to one atomic load
+// unless something armed the registry, so production binaries pay
 // nothing for the instrumentation.
 //
 // A failpoint is armed with a spec string:
@@ -40,10 +41,12 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/splitmix"
 )
 
 // ClassInjected is the guard failure class carried by injected errors.
-// Declared here (guard mirrors it) so this package stays dependency-free.
+// Declared here (guard mirrors it) so this package need not import guard.
 const ClassInjected = "injected"
 
 // Error is the typed error returned (or panicked) by a tripped failpoint.
@@ -281,7 +284,7 @@ func (p *point) fire() bool {
 		return false
 	}
 	if p.seeded {
-		p.prng = splitmix64(p.prng)
+		p.prng = splitmix.Next(p.prng)
 		// Top 53 bits → uniform float in [0,1).
 		if float64(p.prng>>11)/(1<<53) >= p.prob {
 			return false
@@ -289,16 +292,6 @@ func (p *point) fire() bool {
 	}
 	p.trips++
 	return true
-}
-
-// splitmix64 is the PRNG behind the p(prob,seed) trigger: tiny, seedable,
-// and identical on every platform, so a chaos schedule replays exactly.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	z := x
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }
 
 // parseSpec compiles one spec string into a point.

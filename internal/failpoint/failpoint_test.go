@@ -276,3 +276,23 @@ func BenchmarkInjectDisarmed(b *testing.B) {
 		}
 	}
 }
+
+// TestSeededTriggerKnownAnswer pins the p(prob,seed) trip pattern, so a
+// chaos schedule recorded today replays the same faults tomorrow.
+func TestSeededTriggerKnownAnswer(t *testing.T) {
+	t.Cleanup(Reset)
+	if err := Arm("kat", "p(0.5,7)->error"); err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	for i := 0; i < 64; i++ {
+		if Inject("kat") != nil {
+			got.WriteByte('1')
+		} else {
+			got.WriteByte('0')
+		}
+	}
+	if want := "1001101001101000111001010011101100111100110000011110010010001001"; got.String() != want {
+		t.Fatalf("p(0.5,7) trips\n got %s\nwant %s", got.String(), want)
+	}
+}

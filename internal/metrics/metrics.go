@@ -133,7 +133,7 @@ func NewRegistry() *Registry {
 
 var defaultRegistry = NewRegistry()
 
-// Default returns the shared process-wide registry. The relprobe.*
+// Default returns the shared process-wide registry. The relprobe_*
 // counters in internal/obs and the relcli debug/serve endpoints all use
 // it, so every surface reports the same numbers.
 func Default() *Registry { return defaultRegistry }

@@ -7,9 +7,11 @@ import (
 
 // SlidingCounter counts good/bad events over a sliding time window,
 // implemented as a ring of fixed-width buckets that rotate with the
-// clock. It is the substrate the SLO engine's multi-window burn-rate
-// evaluation stands on: one counter per (objective, window), each
-// Totals() call reporting the event counts of roughly the last Span.
+// clock. It is the repository's one sliding-window primitive: the SLO
+// engine keeps one per (objective, window) for its burn rates, and the
+// serve dashboard keeps one for /api/summary. Each Totals call reports
+// the event counts of roughly the last Span. Cost per event is O(1) and
+// memory is fixed at n buckets, whatever the request rate.
 //
 // The window is approximate at bucket granularity: an event recorded at
 // the very start of a bucket expires a full bucket-width late. With the
@@ -19,7 +21,6 @@ import (
 // All methods are safe for concurrent use.
 type SlidingCounter struct {
 	mu      sync.Mutex
-	now     func() time.Time
 	bucketD time.Duration
 	buckets []slidingBucket
 	head    int       // index of the current bucket
@@ -31,25 +32,15 @@ type slidingBucket struct {
 }
 
 // NewSlidingCounter builds a counter covering span with n buckets
-// (n < 2 means 30). Span must be positive.
+// (n < 2 means 30; span <= 0 means one minute).
 func NewSlidingCounter(span time.Duration, n int) *SlidingCounter {
-	return NewSlidingCounterClock(span, n, time.Now)
-}
-
-// NewSlidingCounterClock is NewSlidingCounter with an injectable clock,
-// so tests (and deterministic experiments) can step time explicitly.
-func NewSlidingCounterClock(span time.Duration, n int, now func() time.Time) *SlidingCounter {
 	if n < 2 {
 		n = 30
 	}
 	if span <= 0 {
 		span = time.Minute
 	}
-	if now == nil {
-		now = time.Now
-	}
 	return &SlidingCounter{
-		now:     now,
 		bucketD: span / time.Duration(n),
 		buckets: make([]slidingBucket, n),
 	}
@@ -60,10 +51,14 @@ func (c *SlidingCounter) Span() time.Duration {
 	return c.bucketD * time.Duration(len(c.buckets))
 }
 
-// Record counts one event, bad or good, at the current clock reading.
-func (c *SlidingCounter) Record(bad bool) {
+// Record counts one event, bad or good, now.
+func (c *SlidingCounter) Record(bad bool) { c.RecordAt(time.Now(), bad) }
+
+// RecordAt counts one event, bad or good, at time t. Callers with their
+// own clock (the SLO engine, deterministic replays) pass its reading.
+func (c *SlidingCounter) RecordAt(t time.Time, bad bool) {
 	c.mu.Lock()
-	c.advanceLocked(c.now())
+	c.advanceLocked(t)
 	if bad {
 		c.buckets[c.head].bad++
 	} else {
@@ -72,12 +67,15 @@ func (c *SlidingCounter) Record(bad bool) {
 	c.mu.Unlock()
 }
 
-// Totals reports the good and bad event counts currently inside the
-// window, expiring aged buckets first.
-func (c *SlidingCounter) Totals() (good, bad uint64) {
+// Totals reports the good and bad event counts inside the window now.
+func (c *SlidingCounter) Totals() (good, bad uint64) { return c.TotalsAt(time.Now()) }
+
+// TotalsAt reports the good and bad event counts inside the window
+// ending at now, expiring aged buckets first.
+func (c *SlidingCounter) TotalsAt(now time.Time) (good, bad uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.advanceLocked(c.now())
+	c.advanceLocked(now)
 	for _, b := range c.buckets {
 		good += b.good
 		bad += b.bad

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"sync"
+
+	"repro/internal/splitmix"
 )
 
 // CorrHeader is the HTTP header carrying a request's correlation ID.
@@ -28,12 +30,9 @@ func NewCorrSource(seed uint64) *CorrSource {
 // Next returns the next correlation ID: 16 lowercase hex characters.
 func (c *CorrSource) Next() string {
 	c.mu.Lock()
-	c.x += 0x9e3779b97f4a7c15
-	z := c.x
+	z := splitmix.Next(c.x)
+	c.x += splitmix.Golden
 	c.mu.Unlock()
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
 	var b [8]byte
 	binary.BigEndian.PutUint64(b[:], z)
 	return hex.EncodeToString(b[:])

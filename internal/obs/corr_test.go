@@ -76,3 +76,14 @@ func TestSanitizeCorr(t *testing.T) {
 		}
 	}
 }
+
+// TestCorrSourceKnownAnswer pins the minted ID sequence for seed 1 (the
+// serve wide-event golden carries the first one).
+func TestCorrSourceKnownAnswer(t *testing.T) {
+	c := NewCorrSource(1)
+	for i, want := range []string{"910a2dec89025cc1", "beeb8da1658eec67", "f893a2eefb32555e", "71c18690ee42c90b"} {
+		if got := c.Next(); got != want {
+			t.Fatalf("NewCorrSource(1) id %d = %q, want %q", i, got, want)
+		}
+	}
+}

@@ -12,9 +12,9 @@ import (
 )
 
 // RegisterDebug mounts the debug routes on mux: /debug/pprof/ (index,
-// profile, heap, trace, …), /debug/vars (expvar, including the mirrored
-// relprobe.* counters), and /metrics (reg in Prometheus exposition
-// format; nil means the default registry). `relcli serve` reuses it so
+// profile, heap, trace, …), /debug/vars (expvar: runtime memstats and
+// cmdline), and /metrics (reg in Prometheus exposition format; nil
+// means the default registry). `relcli serve` reuses it so
 // the solve service and the standalone debug server expose identical
 // surfaces.
 func RegisterDebug(mux *http.ServeMux, reg *metrics.Registry) {

@@ -52,10 +52,8 @@ func TestDebugServerRoutes(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "application/json") {
 		t.Errorf("/debug/vars content type %q", ct)
 	}
-	for _, name := range []string{"relprobe.traces", "relprobe.spans", "relprobe.iterations"} {
-		if !strings.Contains(body, name) {
-			t.Errorf("/debug/vars missing %s", name)
-		}
+	if !strings.Contains(body, "memstats") {
+		t.Errorf("/debug/vars missing memstats:\n%.300s", body)
 	}
 
 	resp, body = get("/metrics")
@@ -81,28 +79,13 @@ func TestDebugServerRoutes(t *testing.T) {
 	srv2.Close()
 }
 
-// TestExpvarMirrorsRegistry asserts the consolidation satellite: the
-// expvar relprobe.* values are views of the registry counters, so the
-// two surfaces move together.
-func TestExpvarMirrorsRegistry(t *testing.T) {
+// TestTraceCountsInRegistry: finishing a trace advances the relprobe
+// counter in the default registry that /metrics exposes.
+func TestTraceCountsInRegistry(t *testing.T) {
 	before := ctrTraces.Value()
-	tr := NewTrace("mirror")
+	tr := NewTrace("counted")
 	tr.Finish()
 	if got := ctrTraces.Value(); got != before+1 {
 		t.Fatalf("registry counter did not advance: %g -> %g", before, got)
-	}
-	srv, err := ServeDebug("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	resp, err := http.Get("http://" + srv.Addr + "/debug/vars")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if !strings.Contains(string(body), `"relprobe.traces"`) {
-		t.Errorf("expvar page missing mirrored counter:\n%.300s", body)
 	}
 }

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"io"
 	"runtime"
@@ -13,25 +12,14 @@ import (
 	"repro/internal/metrics"
 )
 
-// Process-wide relprobe counters. Since relscope (PR 5) they live in the
-// default metrics registry — the single source of truth scraped at
-// /metrics — and the legacy expvar names under /debug/vars are read-only
-// views of the same counters, so the two surfaces cannot drift. They
-// advance only while a Trace is recording.
+// Process-wide relprobe counters, in the default metrics registry and
+// scraped at /metrics as relprobe_*_total. They advance only while a
+// Trace is recording.
 var (
 	ctrTraces = metrics.Default().NewCounter("relprobe_traces_total", "Traces started.")
 	ctrSpans  = metrics.Default().NewCounter("relprobe_spans_total", "Trace spans opened.")
 	ctrIters  = metrics.Default().NewCounter("relprobe_iterations_total", "Iterations recorded on traces.")
 )
-
-func init() {
-	mirror := func(name string, c *metrics.Counter) {
-		expvar.Publish(name, expvar.Func(func() any { return int64(c.Value()) }))
-	}
-	mirror("relprobe.traces", ctrTraces)
-	mirror("relprobe.spans", ctrSpans)
-	mirror("relprobe.iterations", ctrIters)
-}
 
 // TraceSchemaVersion identifies the span-tree JSON schema. It is stamped
 // on the root span of every trace so `-trace-json` consumers and the

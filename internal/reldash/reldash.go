@@ -66,9 +66,10 @@ type Config struct {
 	// BenchPath locates the committed bench baseline for /api/bench
 	// (empty disables the trend section).
 	BenchPath string
-	// Window receives request completions for /api/summary (nil builds a
-	// one-minute window; the caller must then Record into that one).
-	Window *Window
+	// Window counts request completions for /api/summary; the serve
+	// layer records into it (nil reports an always-empty one-minute
+	// window).
+	Window *metrics.SlidingCounter
 	// InFlight reports currently-executing solves (nil reports 0).
 	InFlight func() int
 	// Start anchors the uptime report (zero means "now").
@@ -181,7 +182,7 @@ func NewHandler(cfg Config) (*Handler, error) {
 		cfg.Registry = metrics.Default()
 	}
 	if cfg.Window == nil {
-		cfg.Window = NewWindow(time.Minute)
+		cfg.Window = metrics.NewSlidingCounter(time.Minute, 30)
 	}
 	if cfg.Start.IsZero() {
 		cfg.Start = time.Now()
@@ -192,10 +193,6 @@ func NewHandler(cfg Config) (*Handler, error) {
 	}
 	return &Handler{cfg: cfg, tmpl: tmpl}, nil
 }
-
-// Window returns the request window the handler reports on, so the
-// serve layer can Record into it.
-func (h *Handler) Window() *Window { return h.cfg.Window }
 
 // Register mounts every dashboard route on mux.
 func (h *Handler) Register(mux *http.ServeMux) {
@@ -339,7 +336,8 @@ type storeOccupancy struct {
 }
 
 func (h *Handler) handleSummary(w http.ResponseWriter, r *http.Request) {
-	total, failed := h.cfg.Window.Stats()
+	good, bad := h.cfg.Window.Totals()
+	total, failed := int(good+bad), int(bad)
 	windowS := h.cfg.Window.Span().Seconds()
 	p := summaryPayload{
 		UptimeS:    time.Since(h.cfg.Start).Seconds(),

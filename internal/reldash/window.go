@@ -1,74 +1,16 @@
 package reldash
 
 import (
-	"sync"
 	"time"
+
+	"repro/internal/metrics"
 )
 
-// Window is a sliding-window request counter behind /api/summary: the
-// serve handlers Record every terminal request, and Stats answers "how
-// many requests (and errors) landed in the last N seconds" so the
-// dashboard can show throughput and error rate without retaining
-// unbounded history. All methods are safe for concurrent use.
-type Window struct {
-	mu     sync.Mutex
-	span   time.Duration
-	events []windowEvent
-}
+// Window is the request counter behind /api/summary. It is an alias of
+// metrics.SlidingCounter, the repository's one sliding-window primitive;
+// the name and NewWindow remain only because the benchmark harness
+// (perfbench/replay.go, which times window records) calls them.
+type Window = metrics.SlidingCounter
 
-type windowEvent struct {
-	t      time.Time
-	failed bool
-}
-
-// NewWindow builds a window covering the given span (<=0 means one
-// minute).
-func NewWindow(span time.Duration) *Window {
-	if span <= 0 {
-		span = time.Minute
-	}
-	return &Window{span: span}
-}
-
-// Span reports the window's duration.
-func (w *Window) Span() time.Duration { return w.span }
-
-// Record notes one completed request.
-func (w *Window) Record(failed bool) { w.RecordAt(time.Now(), failed) }
-
-// RecordAt is Record with an explicit timestamp (tests).
-func (w *Window) RecordAt(t time.Time, failed bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.pruneLocked(t)
-	w.events = append(w.events, windowEvent{t: t, failed: failed})
-}
-
-// Stats reports how many requests and failures are inside the window.
-func (w *Window) Stats() (total, failed int) { return w.StatsAt(time.Now()) }
-
-// StatsAt is Stats with an explicit "now" (tests).
-func (w *Window) StatsAt(now time.Time) (total, failed int) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.pruneLocked(now)
-	for _, e := range w.events {
-		total++
-		if e.failed {
-			failed++
-		}
-	}
-	return total, failed
-}
-
-// pruneLocked drops events older than the window. Callers hold w.mu.
-func (w *Window) pruneLocked(now time.Time) {
-	cutoff := now.Add(-w.span)
-	keep := 0
-	for keep < len(w.events) && !w.events[keep].t.After(cutoff) {
-		keep++
-	}
-	if keep > 0 {
-		w.events = append(w.events[:0], w.events[keep:]...)
-	}
-}
+// NewWindow builds a window covering span in 30 buckets.
+func NewWindow(span time.Duration) *Window { return metrics.NewSlidingCounter(span, 30) }

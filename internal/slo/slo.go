@@ -215,7 +215,7 @@ func New(cfg Config) (*Engine, error) {
 		}
 		st := &objectiveState{obj: o, latched: make([]bool, len(windows))}
 		for _, w := range windows {
-			st.counters = append(st.counters, metrics.NewSlidingCounterClock(w.Span, 30, cfg.Now))
+			st.counters = append(st.counters, metrics.NewSlidingCounter(w.Span, 30))
 		}
 		e.objs = append(e.objs, st)
 	}
@@ -244,13 +244,14 @@ func (e *Engine) Objectives() []Objective {
 // Observe judges one finished request against every matching objective.
 // Safe for concurrent use (the sliding counters serialize internally).
 func (e *Engine) Observe(route string, status int, latency time.Duration) {
+	now := e.cfg.Now()
 	for _, st := range e.objs {
 		if !st.obj.matches(route) {
 			continue
 		}
 		bad := st.obj.bad(status, latency)
 		for _, c := range st.counters {
-			c.Record(bad)
+			c.RecordAt(now, bad)
 		}
 		if e.events != nil {
 			verdict := "good"
@@ -281,7 +282,7 @@ func (e *Engine) Status() []ObjectiveStatus {
 		}
 		budgetRate := 1 - st.obj.Target
 		for wi, w := range e.windows {
-			good, bad := st.counters[wi].Totals()
+			good, bad := st.counters[wi].TotalsAt(now)
 			total := good + bad
 			ws := WindowStatus{
 				Window:    windowLabel(w.Span),

@@ -8,6 +8,7 @@ import (
 	"sort"
 
 	"repro/internal/guard"
+	"repro/internal/splitmix"
 )
 
 // This file is the deterministic sharding substrate under the async job
@@ -24,23 +25,12 @@ import (
 //     deterministic reduction, so the final result is independent of
 //     worker count, scheduling order, and retry history.
 
-// splitmix64 advances the per-shard RNG stream state. It matches the
-// internal/failpoint generator bit-for-bit (same constants), so seeded
-// chaos schedules and seeded sweeps share one reproducibility story.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	z := x
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
 // sm64Source is a rand.Source64 over a splitmix64 stream: tiny,
 // seedable, identical on every platform.
 type sm64Source struct{ state uint64 }
 
 func (s *sm64Source) Uint64() uint64 {
-	s.state = splitmix64(s.state)
+	s.state = splitmix.Next(s.state)
 	return s.state
 }
 
@@ -53,7 +43,7 @@ func (s *sm64Source) Seed(seed int64) { s.state = uint64(seed) }
 // splitmix64(seed XOR golden·(i+1)), so neighboring shards get
 // decorrelated streams from one user-visible seed.
 func ShardRNG(seed uint64, shard int) *rand.Rand {
-	state := splitmix64(seed ^ (0x9e3779b97f4a7c15 * uint64(shard+1)))
+	state := splitmix.Next(seed ^ (splitmix.Golden * uint64(shard+1)))
 	return rand.New(&sm64Source{state: state})
 }
 

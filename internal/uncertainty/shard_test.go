@@ -175,3 +175,15 @@ func TestFoldShardsRejectsGapsAndDuplicates(t *testing.T) {
 		t.Fatal("fold with a duplicated index succeeded")
 	}
 }
+
+// TestShardRNGKnownAnswer pins the shard stream bit-for-bit: resumed
+// sweeps (and E15) replay shards from their seeds, so any change to the
+// generator silently breaks every checkpoint on disk.
+func TestShardRNGKnownAnswer(t *testing.T) {
+	r := ShardRNG(42, 0)
+	for i, want := range []uint64{0xfc991bca1a1aa1ae, 0xbdc7d5e024e5780f, 0x126b7212c13d5e99, 0x1396e37180ee2cb} {
+		if got := r.Uint64(); got != want {
+			t.Fatalf("ShardRNG(42,0) draw %d = %#x, want %#x", i, got, want)
+		}
+	}
+}
