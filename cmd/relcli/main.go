@@ -29,7 +29,10 @@
 // the relscope metric registry in Prometheus text format to stderr, -log
 // emits structured slog events per span (and per iteration at -log-level
 // debug), and -pprof addr serves net/http/pprof, expvar, and /metrics for
-// the duration of the solve.
+// the duration of the solve. The solve records into one span trace; the
+// metrics and the log events are folded from it once the solve has
+// ended, so per-iteration convergence events appear after the solve
+// rather than while it runs. serve does the same per request.
 //
 // The serve subcommand turns the same pipeline into a long-running HTTP
 // service: POST /solve takes a model document and returns {model,
@@ -78,6 +81,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"os"
 	"time"
 
@@ -126,7 +130,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	timeout := fs.Duration("timeout", 0, "abort the solve after this duration (0 disables)")
 	rails := fs.String("rails", "", "numerical guard-rail strictness: strict, warn (default), or off")
 	logFormat := fs.String("log", "", "emit structured solve logs on stderr: text or json")
-	logLevel := fs.String("log-level", "info", "log level for -log (debug adds per-iteration convergence events)")
+	logLevel := fs.String("log-level", "info", "log level for -log (debug adds per-iteration convergence events, written when the solve ends)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -166,30 +170,31 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	if rootName == "" {
 		rootName = "solve"
 	}
-	var tr *obs.Trace
-	var recs []obs.Recorder
-	if *traceText || *traceJSON || *metricsFlag {
-		tr = obs.NewTrace(rootName)
-		recs = append(recs, tr)
-	}
-	if *metricsFlag {
-		// The same registry backs /metrics in relcli serve and the debug
-		// server, so the one-shot dump and the scrape endpoint share both
-		// the numbers and the formatting path.
-		recs = append(recs, obs.NewMetricsRecorder(metrics.Default(), rootName))
-	}
+	var logger *slog.Logger
 	if *logFormat != "" {
-		logger, err := newSlogLogger(*logFormat, *logLevel, stderr)
-		if err != nil {
+		if logger, err = newSlogLogger(*logFormat, *logLevel, stderr); err != nil {
 			return err
 		}
-		recs = append(recs, obs.NewSlogRecorder(logger))
 	}
-	opts.Recorder = obs.Multi(recs...)
+	var tr *obs.Trace
+	if *traceText || *traceJSON || *metricsFlag || logger != nil {
+		tr = obs.NewTrace(rootName)
+		opts.Recorder = tr
+	}
 	results, err := modelio.SolveWithOptions(spec, opts)
 	if tr != nil {
 		// Emit whatever was traced even when the solve failed — the partial
 		// trace is exactly what diagnoses a non-converging solver.
+		root := tr.Finish()
+		if logger != nil {
+			obs.LogSpans(logger, root)
+		}
+		if *metricsFlag {
+			// The same registry backs /metrics in relcli serve and the debug
+			// server, so the one-shot dump and the scrape endpoint share both
+			// the numbers and the formatting path.
+			obs.NewSolverMetrics(metrics.Default()).Fold(root, rootName)
+		}
 		if *traceText {
 			if werr := tr.WriteText(stderr); werr != nil {
 				return werr

@@ -143,6 +143,8 @@ type solveServer struct {
 	stopBg chan struct{}
 	bgWG   sync.WaitGroup
 
+	solverMetrics *obs.SolverMetrics
+
 	requests *metrics.Counter
 	latency  *metrics.Histogram
 	inflight *metrics.Gauge
@@ -221,6 +223,7 @@ func newSolveServer(cfg serveConfig) (*solveServer, *http.ServeMux, error) {
 		func(class string) { s.breaker.Inc(class) })
 	failpoint.SetOnTrip(func(name string) { s.fpTrips.Inc(name) })
 	s.corr = obs.NewCorrSource(cfg.CorrSeed)
+	s.solverMetrics = obs.NewSolverMetrics(cfg.Registry)
 	s.selfModel = slo.NewSelfModel()
 	s.stopBg = make(chan struct{})
 	if cfg.WideWriter != nil {
@@ -617,27 +620,30 @@ func (s *solveServer) handleSolve(w http.ResponseWriter, r *http.Request, ev *ob
 
 	// Every solve is traced so the store retains its span tree for the
 	// dashboard; the response only carries the tree when asked (?trace=1).
+	// Metrics and span logs are folded from the finished trace, once per
+	// solve, so the trace is the only recorder the solvers feed.
 	tr := obs.NewTrace(rootName(spec))
 	tr.Set(obs.S("corr", ev.Corr))
-	recs := []obs.Recorder{obs.NewMetricsRecorder(s.cfg.Registry, spec.Name), tr}
-	if s.cfg.Logger != nil {
-		recs = append(recs, obs.NewSlogRecorder(s.cfg.Logger))
-	}
 	var results []modelio.Result
 	solveErr := guard.Isolate("serve.solve", func() error {
 		var err error
 		results, err = modelio.SolveWithOptions(spec, modelio.SolveOptions{
 			Preflight: s.cfg.Preflight,
-			Recorder:  obs.Multi(recs...),
+			Recorder:  tr,
 			Context:   r.Context(),
 			Timeout:   s.cfg.SolveTimeout,
 			Rails:     s.cfg.Rails,
 		})
 		return err
 	})
+	root := tr.Finish()
+	s.solverMetrics.Fold(root, spec.Name)
+	if s.cfg.Logger != nil {
+		obs.LogSpans(s.cfg.Logger.With("corr", ev.Corr), root)
+	}
 	resp := solveResponse{Model: spec.Name, ModelHash: hash, Results: results}
 	if r.URL.Query().Get("trace") != "" {
-		resp.Trace = tr.Finish()
+		resp.Trace = root
 	}
 	code := http.StatusOK
 	if solveErr != nil {
@@ -833,7 +839,7 @@ func runServe(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("relcli serve", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address (\":0\" picks a free port)")
 	logFormat := fs.String("log", "", "structured request/solve logs on stderr: text or json")
-	logLevel := fs.String("log-level", "info", "log level for -log (debug adds per-iteration events)")
+	logLevel := fs.String("log-level", "info", "log level for -log (debug adds per-iteration convergence events, written when each solve ends)")
 	maxInflight := fs.Int("max-inflight", 8, "maximum concurrent solves; excess requests queue, then shed")
 	queueDepth := fs.Int("queue-depth", 0, "admission-queue depth before load shedding with 429 (0 means 2x max-inflight)")
 	queueWait := fs.Duration("queue-wait", time.Second, "longest a queued request waits for a solve slot before 503")

@@ -126,6 +126,62 @@ func TestServeSolveAndMetricsGolden(t *testing.T) {
 	}
 }
 
+// timedSampleRE matches the histogram samples whose values depend on
+// timing (bucket counts and sums); the _count lines stay.
+var timedSampleRE = regexp.MustCompile(`^relscope_\w+_seconds_(bucket|sum)\{`)
+
+// TestSolveMetricsKnownAnswer pins the exact relscope_* values one solve
+// of each lint-clean bundled model produces: iterations, last residuals,
+// chain attempts and winners, span and solve counts, lumping. Only the
+// timing-dependent histogram buckets and sums are left out, so any
+// change to how solver telemetry becomes metrics must keep the numbers.
+func TestSolveMetricsKnownAnswer(t *testing.T) {
+	reg := metrics.NewRegistry()
+	mux := mustServeMux(t, serveConfig{Registry: reg, MaxInflight: 2})
+	paths, err := filepath.Glob(filepath.Join("..", "..", "models", "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	solved := 0
+	for _, path := range paths {
+		if filepath.Base(path) == "broken_rowsum.json" {
+			continue // the ill-formed lint fixture
+		}
+		if w := postModel(t, mux, path, ""); w.Code != http.StatusOK {
+			t.Fatalf("POST /solve %s: status %d: %s", path, w.Code, w.Body.String())
+		}
+		solved++
+	}
+	if solved != 10 {
+		t.Fatalf("solved %d bundled models, want 10", solved)
+	}
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	var kept []string
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if strings.HasPrefix(line, "relscope_") && !timedSampleRE.MatchString(line) {
+			kept = append(kept, line)
+		}
+	}
+	got := strings.Join(kept, "\n") + "\n"
+
+	golden := filepath.Join("testdata", "solve_metrics_known.golden")
+	if *updateGolden {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("relscope samples drifted from %s.\ngot:\n%s", golden, got)
+	}
+}
+
 // TestServeTraceQuery checks ?trace=1 returns the request-scoped span
 // tree alongside the results.
 func TestServeTraceQuery(t *testing.T) {
@@ -237,7 +293,14 @@ func TestServeStructuredLogs(t *testing.T) {
 		t.Fatal(err)
 	}
 	mux := mustServeMux(t, serveConfig{Registry: metrics.NewRegistry(), Logger: logger})
-	w := postModel(t, mux, filepath.Join("..", "..", "models", "repairfarm.json"), "")
+	body, err := os.ReadFile(filepath.Join("..", "..", "models", "repairfarm.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := httptest.NewRequest(http.MethodPost, "/solve", bytes.NewReader(body))
+	req.Header.Set("X-Rel-Correlation-Id", "my-corr")
+	w := httptest.NewRecorder()
+	mux.ServeHTTP(w, req)
 	if w.Code != http.StatusOK {
 		t.Fatalf("status %d", w.Code)
 	}
@@ -248,6 +311,51 @@ func TestServeStructuredLogs(t *testing.T) {
 	if !strings.Contains(logs, `"span":"modelio.solve"`) || !strings.Contains(logs, `"solver":"sor"`) {
 		t.Errorf("missing span events:\n%s", logs)
 	}
+	// Every span line joins the request through its correlation ID and
+	// names each key once.
+	spans := 0
+	for _, line := range strings.Split(strings.TrimSpace(logs), "\n") {
+		if !strings.Contains(line, `"msg":"span"`) {
+			continue
+		}
+		spans++
+		if !strings.Contains(line, `"corr":"my-corr"`) {
+			t.Errorf("span line lacks the correlation ID: %s", line)
+		}
+		if key := duplicateKey(t, line); key != "" {
+			t.Errorf("span line repeats key %q: %s", key, line)
+		}
+	}
+	if spans == 0 {
+		t.Errorf("no span lines:\n%s", logs)
+	}
+}
+
+// duplicateKey decodes one JSON object and returns the first top-level
+// key it repeats ("" when every key is unique).
+func duplicateKey(t *testing.T, line string) string {
+	t.Helper()
+	dec := json.NewDecoder(strings.NewReader(line))
+	if _, err := dec.Token(); err != nil { // {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := tok.(string)
+		if seen[key] {
+			return key
+		}
+		seen[key] = true
+		var v json.RawMessage
+		if err := dec.Decode(&v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ""
 }
 
 // TestServeAnalyze: POST /analyze is the serve-side preflight — it

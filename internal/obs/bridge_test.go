@@ -176,3 +176,21 @@ func TestMetricsRecorderConcurrent(t *testing.T) {
 		t.Errorf("iterations = %g, want 16", got)
 	}
 }
+
+// TestSolverMetricsFoldAllocsFlat checks the fold's cost does not grow
+// with the recorded iterations: one solver span with 10 and with 10 000
+// IterPoints allocates the same.
+func TestSolverMetricsFoldAllocsFlat(t *testing.T) {
+	m := NewSolverMetrics(metrics.NewRegistry())
+	allocs := func(n int) float64 {
+		sor := &Span{Name: "linalg.sor", Attrs: []Attr{S("solver", "sor")}, Iters: make([]IterPoint, n)}
+		for i := range sor.Iters {
+			sor.Iters[i] = IterPoint{N: i + 1, Residual: 1 / float64(i+1)}
+		}
+		root := &Span{Name: "m", Children: []*Span{{Name: "modelio.solve", Children: []*Span{sor}}}}
+		return testing.AllocsPerRun(20, func() { m.Fold(root, "m") })
+	}
+	if few, many := allocs(10), allocs(10000); few != many {
+		t.Errorf("fold allocations grow with iterations: %g at 10, %g at 10000", few, many)
+	}
+}

@@ -1,8 +1,8 @@
 package obs
 
 // Multi fans every Recorder event out to several recorders — a solve can
-// simultaneously build a Trace, feed a metrics registry, and emit slog
-// events. Disabled (nil or Nop) recorders are filtered at construction,
+// build a Trace of its own while a caller's recorder observes it too.
+// Disabled (nil or Nop) recorders are filtered at construction,
 // so a Multi of nothing collapses to Nop and a Multi of one is that
 // recorder itself, preserving the zero-cost-when-disabled property.
 func Multi(recs ...Recorder) Recorder {

@@ -14,14 +14,15 @@ import (
 func TestSlogRecorderInfo(t *testing.T) {
 	var buf bytes.Buffer
 	logger := slog.New(slog.NewJSONHandler(&buf, &slog.HandlerOptions{Level: slog.LevelInfo}))
-	rec := NewSlogRecorder(logger)
+	tr := NewTrace("farm")
 
-	root := rec.Span("modelio.solve", S("model", "farm"))
+	root := tr.Span("modelio.solve", S("model", "farm"))
 	sor := root.Span("linalg.sor", S("solver", "sor"))
 	sor.Iter(1, 0.5)
 	sor.IterLabel(2, 0.01, "sweep")
 	sor.End()
 	root.End()
+	LogSpans(logger, tr.Finish())
 
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	if len(lines) != 2 {
@@ -57,11 +58,12 @@ func TestSlogRecorderInfo(t *testing.T) {
 func TestSlogRecorderDebugIterations(t *testing.T) {
 	var buf bytes.Buffer
 	logger := slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug}))
-	rec := NewSlogRecorder(logger)
-	sp := rec.Span("linalg.sor", S("solver", "sor"))
+	tr := NewTrace("m")
+	sp := tr.Span("linalg.sor", S("solver", "sor"))
 	sp.Iter(1, 0.5)
 	sp.IterLabel(2, 0.25, "node-a")
 	sp.End()
+	LogSpans(logger, tr.Finish())
 
 	out := buf.String()
 	if got := strings.Count(out, "msg=convergence"); got != 2 {
@@ -73,10 +75,37 @@ func TestSlogRecorderDebugIterations(t *testing.T) {
 }
 
 func TestSlogRecorderNilLogger(t *testing.T) {
-	rec := NewSlogRecorder(nil)
-	if !rec.Enabled() {
-		t.Error("slog recorder reports disabled")
+	tr := NewTrace("m")
+	sp := tr.Span("x")
+	sp.End()
+	LogSpans(nil, tr.Finish()) // must not panic with the default logger
+}
+
+// TestLogSpansKeysOnce checks a span event names each key once: the
+// span's own attributes win over the iteration summary and a later
+// attribute over an earlier one, and an abandoned span logs no event.
+func TestLogSpansKeysOnce(t *testing.T) {
+	var buf bytes.Buffer
+	logger := slog.New(slog.NewJSONHandler(&buf, nil))
+	tr := NewTrace("m")
+	sor := tr.Span("linalg.sor", S("solver", "sor"))
+	sor.Iter(1, 0.5)
+	sor.Iter(2, 0.25)
+	sor.Set(I("iterations", 2), S("solver", "sor-final"))
+	sor.End()
+	tr.Span("measure:mttf") // never ended: abandoned by Finish
+	LogSpans(logger, tr.Finish())
+
+	line := strings.TrimSpace(buf.String())
+	if strings.Count(line, "\n") != 0 {
+		t.Fatalf("want one span event, got:\n%s", buf.String())
 	}
-	sp := rec.Span("x")
-	sp.End() // must not panic with the default logger
+	for _, key := range []string{`"iterations"`, `"solver"`, `"last_residual"`, `"wall_ms"`} {
+		if got := strings.Count(line, key); got != 1 {
+			t.Errorf("key %s appears %d times: %s", key, got, line)
+		}
+	}
+	if !strings.Contains(line, `"solver":"sor-final"`) {
+		t.Errorf("the later solver attribute lost: %s", line)
+	}
 }

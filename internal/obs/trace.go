@@ -61,6 +61,9 @@ type Span struct {
 	start      time.Time
 	startAlloc uint64
 	open       bool
+	// abandoned marks a span closed by Trace.Finish rather than its own
+	// End: the solve unwound past it (an error return or a panic).
+	abandoned bool
 }
 
 // spanJSON is the marshaled shape of a Span; attrs become a JSON object
@@ -174,6 +177,7 @@ func (t *Trace) finishLocked() {
 				s.AllocBytes = alloc - s.startAlloc
 			}
 			s.open = false
+			s.abandoned = true
 		}
 	})
 }

@@ -107,7 +107,8 @@ fi
 # enough traffic to blow the error budget, and assert over /api/slo that
 # the burn-rate alert actually fired. Then close the loop the other way:
 # take a correlation ID off a wide-event line and resolve it back to its
-# trace through /api/traces?corr=.
+# trace through /api/traces?corr=, and do the same from the span log:
+# every span line must carry its request's correlation ID.
 if [[ "${CHECK_SLO:-0}" == "1" ]]; then
     echo "== slo smoke"
     SLO_DIR=$(mktemp -d /tmp/relcli-slo.XXXXXX)
@@ -120,7 +121,7 @@ EOF
     go build -o "$SLO_DIR/relcli" ./cmd/relcli
     "$SLO_DIR/relcli" serve -addr 127.0.0.1:0 \
         -slo "$SLO_DIR/objectives.json" \
-        -wide-events "$SLO_DIR/wide.jsonl" -wide-sample 1 \
+        -wide-events "$SLO_DIR/wide.jsonl" -wide-sample 1 -log json \
         -failpoints 'modelio.build:1-in-2->error(injected)' \
         > "$SLO_DIR/serve.out" 2>&1 &
     SLO_PID=$!
@@ -163,6 +164,22 @@ EOF
     fi
     if ! curl -sSf "http://$SLO_ADDR/api/traces?corr=$corr" | grep -q "\"$corr\""; then
         echo "slo smoke: /api/traces?corr=$corr did not resolve the wide event's trace" >&2
+        exit 1
+    fi
+    span_lines=$(grep '"msg":"span"' "$SLO_DIR/serve.out" || true)
+    if [[ -z "$span_lines" ]]; then
+        echo "slo smoke: -log json wrote no span lines" >&2
+        cat "$SLO_DIR/serve.out" >&2
+        exit 1
+    fi
+    if ! jq -se 'all(.[]; (.corr // "") != "")' <<< "$span_lines" > /dev/null; then
+        echo "slo smoke: a span log line lacks its correlation ID" >&2
+        grep -v '"corr":"[^"]' <<< "$span_lines" | head -n3 >&2
+        exit 1
+    fi
+    span_corr=$(jq -r '.corr' <<< "$span_lines" | head -n1)
+    if ! curl -sSf "http://$SLO_ADDR/api/traces?corr=$span_corr" | grep -q "\"$span_corr\""; then
+        echo "slo smoke: /api/traces?corr=$span_corr did not resolve the span log's trace" >&2
         exit 1
     fi
     kill "$SLO_PID" 2>/dev/null || true
